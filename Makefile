@@ -63,8 +63,9 @@ race:
 	$(GO) test -race ./internal/kernels/... ./internal/comm/... ./internal/checkpoint/... ./internal/data/... ./internal/dist/... ./internal/faults/... ./internal/core/... ./internal/elastic/... ./internal/obs/... ./internal/serve/... ./internal/sched/... ./internal/controlplane/...
 
 # short fuzz smokes: the wire-frame and checkpoint decoders must never panic
-# on corrupt input, and the tiled GEMM kernels must stay bitwise identical to
-# the reference loops for arbitrary shapes, kc blocks, and non-finite inputs
+# on corrupt input, and the tiled GEMM and conv kernels must stay bitwise
+# identical to the reference loops (and, for conv, to Im2Col + reference GEMM
+# + Col2Im) for arbitrary shapes, kc blocks, and non-finite inputs
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz FuzzDecodeGrads -fuzztime $(FUZZTIME) ./internal/dist
@@ -74,6 +75,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmTiledVsReferenceMatMulATB$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzGemmTiledVsReferenceMatMulABT$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzElemVsScalar$$' -fuzztime $(FUZZTIME) ./internal/kernels
+	$(GO) test -run '^$$' -fuzz 'FuzzConvVsSpec$$' -fuzztime $(FUZZTIME) ./internal/kernels
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredict$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzDecodePredictReply$$' -fuzztime $(FUZZTIME) ./internal/dist
 	$(GO) test -run '^$$' -fuzz 'FuzzBatchEquivalence$$' -fuzztime $(FUZZTIME) ./internal/serve
@@ -82,6 +84,7 @@ fuzz:
 # and after a kernels change and record the pair in BENCH_prN.json
 bench:
 	$(GO) test ./internal/core/ -run '^$$' -bench 'BenchmarkTrainStep$$' -benchmem -benchtime 30x
+	$(GO) test ./internal/kernels/ -run '^$$' -bench 'BenchmarkConv$$' -benchmem
 	$(GO) test . -run '^$$' -bench 'BenchmarkFig09LossDiff$$' -benchmem -benchtime 2x
 	$(GO) test ./internal/controlplane/ -run '^$$' -bench 'BenchmarkControlPlaneAdmission$$' -benchmem -benchtime 3x
 

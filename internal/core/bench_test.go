@@ -1,9 +1,14 @@
 package core
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/device"
+	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/pool"
 )
 
@@ -83,5 +88,81 @@ func TestTrainStepAllocRegression(t *testing.T) {
 				t.Fatalf("arena leak: %d buffers outstanding after %d steps", leaked, j.GlobalStep())
 			}
 		})
+	}
+}
+
+// TestTrainStepAllocsParallel pins the allocations of the kernel dispatch:
+// a resnet50 step whose GEMMs hand chunks to the worker pool at
+// GOMAXPROCS=2 must allocate no more than the same step on one core.
+// testing.AllocsPerRun forces GOMAXPROCS=1, so it cannot see dispatch
+// allocations; this counts runtime.MemStats.Mallocs around the steps
+// instead. A batch-4 resnet50 step stays under the default parallel
+// threshold everywhere (and convs always run on one core), so the
+// GOMAXPROCS=2 rounds force the dispatch with two workers and a threshold
+// of one FLOP, and a traced step asserts the dispatches happen. The garbage
+// collector is off while counting: each cycle empties every sync.Pool,
+// whose per-P shards then reallocate their internals — a per-GC cost that
+// grows with GOMAXPROCS and is not the dispatch's. Each setting reports its
+// best of five 20-step rounds; the step's own count still jitters by about
+// ±0.5 per step between rounds, so the comparison allows one allocation per
+// step. The forced step makes several dispatches (asserted ≥ 2), so one
+// allocation per dispatch still fails it.
+func TestTrainStepAllocsParallel(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation counts need steady-state warmup")
+	}
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful uninstrumented")
+	}
+	j := benchJob(t, "resnet50")
+	const steps = 20
+	perStep := func(procs int) float64 {
+		prev := runtime.GOMAXPROCS(procs)
+		defer runtime.GOMAXPROCS(prev)
+		if err := j.RunSteps(3); err != nil {
+			t.Fatal(err)
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		best := math.Inf(1)
+		for round := 0; round < 5; round++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := j.RunSteps(steps); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			best = math.Min(best, float64(after.Mallocs-before.Mallocs)/steps)
+		}
+		return best
+	}
+	seq := perStep(1)
+
+	kernels.SetParallelism(2)
+	kernels.SetParallelThreshold(1)
+	defer kernels.SetParallelism(0)
+	defer kernels.SetParallelThreshold(0)
+	par := perStep(2)
+
+	prev := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prev)
+	tr := obs.New()
+	obs.SetDefault(tr)
+	err := j.RunStep()
+	obs.SetDefault(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dispatches := 0
+	for _, sp := range tr.Spans()[obs.RuntimeTrack] {
+		if sp.Name == "kernels.dispatch" {
+			dispatches++
+		}
+	}
+	t.Logf("allocs/step: GOMAXPROCS=1 %.1f, GOMAXPROCS=2 forced %.1f; %d dispatches/step", seq, par, dispatches)
+	if dispatches < 2 {
+		t.Fatalf("forced step made %d kernel dispatches, want >= 2 — the gate does not reach the dispatch", dispatches)
+	}
+	if par > seq+1 {
+		t.Fatalf("allocs/step at GOMAXPROCS=2 = %.1f, want <= %.1f (GOMAXPROCS=1) + 1", par, seq)
 	}
 }

@@ -20,9 +20,9 @@ const (
 	// EnvKernelWorkers overrides the kernel worker-pool size
 	// (kernels.SetParallelism). Provably invisible to numerics.
 	EnvKernelWorkers = "EASYSCALE_KERNEL_WORKERS"
-	// EnvParallelThreshold overrides the FLOP count below which kernels
-	// run sequentially (kernels.SetParallelThreshold). Also invisible to
-	// numerics.
+	// EnvParallelThreshold overrides the FLOP count below which the
+	// parallel GEMMs run sequentially (kernels.SetParallelThreshold);
+	// convolutions always run on one core. Also invisible to numerics.
 	EnvParallelThreshold = "EASYSCALE_PARALLEL_THRESHOLD"
 	// EnvForceSSE2 / EnvForceGeneric (any non-empty value) pin the GEMM
 	// micro-kernel and elementwise dispatch to the SSE2 4×4 variant or the

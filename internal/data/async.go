@@ -3,6 +3,7 @@ package data
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/tensor"
 )
@@ -28,9 +29,15 @@ type AsyncLoader struct {
 	// produced[r] is the next step the pool will materialize for EST r.
 	produced []int
 
-	tasks chan int // rank tokens: "EST r may have prefetchable work"
-	wg    sync.WaitGroup
-	quit  chan struct{}
+	// tasks carries rank tokens ("EST r may have prefetchable work").
+	// queued[r] is set while r's token sits in tasks, so each rank holds
+	// at most one token and a send never finds the channel full: a rank
+	// that gains headroom either enqueues a token or already has one that
+	// no worker has taken yet, whose prefetch will then see the headroom.
+	tasks  chan int
+	queued []atomic.Bool
+	wg     sync.WaitGroup
+	quit   chan struct{}
 }
 
 // NewAsyncLoader starts `physicalWorkers` shared data workers prefetching up
@@ -45,7 +52,8 @@ func NewAsyncLoader(l *Loader, physicalWorkers, depth int) *AsyncLoader {
 		depth:    depth,
 		rankMu:   make([]sync.Mutex, l.Sampler.World),
 		produced: make([]int, l.Sampler.World),
-		tasks:    make(chan int, l.Sampler.World*(depth+1)),
+		tasks:    make(chan int, l.Sampler.World),
+		queued:   make([]atomic.Bool, l.Sampler.World),
 		quit:     make(chan struct{}),
 	}
 	a.cond = sync.NewCond(&a.bufMu)
@@ -64,13 +72,16 @@ func NewAsyncLoader(l *Loader, physicalWorkers, depth int) *AsyncLoader {
 	return a
 }
 
-// kick enqueues a prefetch token for EST r (non-blocking; the channel is
-// sized to hold every useful token).
+// kick makes sure EST r has a prefetch token queued. It never drops one: a
+// token is sent unless r's previous token is still queued, and the channel
+// holds one token per rank, so the send does not block.
 func (a *AsyncLoader) kick(r int) {
+	if !a.queued[r].CompareAndSwap(false, true) {
+		return
+	}
 	select {
 	case a.tasks <- r:
 	case <-a.quit:
-	default:
 	}
 }
 
@@ -83,6 +94,9 @@ func (a *AsyncLoader) worker() {
 		case <-a.quit:
 			return
 		case r := <-a.tasks:
+			// clear the bit before reading r's cursors, so a kick that
+			// lands after this point queues a fresh token
+			a.queued[r].Store(false)
 			a.prefetchOne(r)
 		}
 	}

@@ -3,6 +3,7 @@ package data
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestAsyncLoaderBitwiseEqualsSync(t *testing.T) {
@@ -86,6 +87,57 @@ func TestAsyncLoaderCheckpointMidFlight(t *testing.T) {
 				t.Fatalf("restored-from-async batch (%d,%d) differs", step, r)
 			}
 		}
+	}
+}
+
+// TestAsyncLoaderNoLostWakeup drives the token channel to full on purpose:
+// with the only worker parked, rank 0 is kicked far past the channel's
+// capacity, then rank 1 consumes a batch and gains headroom. Rank 1's next
+// batch must still be produced once the worker resumes — a kick may never
+// be dropped while its rank has headroom and no token queued.
+func TestAsyncLoaderNoLostWakeup(t *testing.T) {
+	al := NewAsyncLoader(newLoader(2, 4, 2), 1, 1)
+	defer al.Close()
+	if steps := al.l.Sampler.StepsPerEpoch(); steps < 3 {
+		t.Fatalf("need >= 3 steps per epoch, have %d", steps)
+	}
+	al.Batch(0, 0)
+	al.Batch(0, 1)
+	// wait until step 1 of both ranks sits in the queuing buffer: the
+	// pool then has no headroom left and goes idle
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		al.bufMu.Lock()
+		_, ok0 := al.l.pending[al.l.Sampler.GlobalOrder(1, 0)]
+		_, ok1 := al.l.pending[al.l.Sampler.GlobalOrder(1, 1)]
+		al.bufMu.Unlock()
+		if ok0 && ok1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("prefetch of step 1 never completed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// park the worker: any token it takes now blocks on a rank lock
+	al.rankMu[0].Lock()
+	al.rankMu[1].Lock()
+	for i := 0; i < 4*cap(al.tasks)+4; i++ {
+		al.kick(0)
+	}
+	al.Batch(1, 1) // rank 1 gains headroom and kicks itself
+	al.rankMu[1].Unlock()
+	al.rankMu[0].Unlock()
+
+	done := make(chan struct{})
+	go func() {
+		al.Batch(2, 1)
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("rank 1's batch was never produced: its prefetch token was lost")
 	}
 }
 

@@ -38,10 +38,11 @@ func (d ConvDims) validate() {
 
 // Im2Col expands one image src[CI,H,W] into cols[CI*KH*KW, OH*OW]. This is a
 // pure data movement: it involves no accumulation and is therefore identical
-// across all kernel variants. The hot conv paths no longer materialize this
-// matrix — the expansion is fused into the GEMM B-panel pack (gemm.go) — but
-// the explicit form remains the executable specification the fused packs are
-// tested against.
+// across all kernel variants. The hot conv paths never materialize this
+// matrix — the expansion is fused into the GEMM B-panel pack from a
+// zero-bordered copy of the image (gemm.go) — but the explicit form remains
+// the executable specification the fused packs are differentially tested
+// against (TestConvMatchesSpec, FuzzConvVsSpec).
 func Im2Col(cols, src []float32, d ConvDims) {
 	d.validate()
 	oh, ow := d.OutH(), d.OutW()
@@ -73,7 +74,9 @@ func Im2Col(cols, src []float32, d ConvDims) {
 // overlapping windows. The accumulation order is fixed by the loop structure
 // (it does not depend on hardware parameters), matching the fact that the
 // paper localizes non-determinism in reductions and GEMM accumulation, not
-// data movement.
+// data movement. Like Im2Col it is the specification: the backward conv
+// paths run col2imPad, which performs the same adds onto a zero-bordered
+// image and crops.
 func Col2Im(dst, cols []float32, d ConvDims) {
 	d.validate()
 	oh, ow := d.OutH(), d.OutW()
@@ -125,6 +128,74 @@ func Col2Im(dst, cols []float32, d ConvDims) {
 	}
 }
 
+// geom returns d's im2col index map over the zero-bordered image.
+func (d *ConvDims) geom() convGeom {
+	wp := d.W + 2*d.PadW
+	plane := (d.H + 2*d.PadH) * wp
+	return convGeom{kh: d.KH, kw: d.KW, wp: wp, plane: plane, ow: d.OutW(), sh: d.StrideH, sw: d.StrideW,
+		rowMax: (d.CIn-1)*plane + (d.KH-1)*wp + d.KW - 1}
+}
+
+// padded reports whether the zero-bordered image differs from the image.
+func (d *ConvDims) padded() bool { return d.PadH != 0 || d.PadW != 0 }
+
+// padLen is the length of one zero-bordered image [CI, H+2·PH, W+2·PW].
+func (d *ConvDims) padLen() int { return d.CIn * (d.H + 2*d.PadH) * (d.W + 2*d.PadW) }
+
+// padImage copies image src[CI,H,W] into the interior of pad, whose border
+// must already be zero, and returns the zero-bordered image. An unpadded
+// conv's image is its own bordered form and is returned as is.
+func padImage(pad, src []float32, d *ConvDims) []float32 {
+	if !d.padded() {
+		return src
+	}
+	wp := d.W + 2*d.PadW
+	plane := (d.H + 2*d.PadH) * wp
+	for c := 0; c < d.CIn; c++ {
+		for h := 0; h < d.H; h++ {
+			copy(pad[c*plane+(h+d.PadH)*wp+d.PadW:][:d.W], src[(c*d.H+h)*d.W:][:d.W])
+		}
+	}
+	return pad
+}
+
+// cropImage copies the interior of the zero-bordered image pad into dst.
+func cropImage(dst, pad []float32, d *ConvDims) {
+	wp := d.W + 2*d.PadW
+	plane := (d.H + 2*d.PadH) * wp
+	for c := 0; c < d.CIn; c++ {
+		for h := 0; h < d.H; h++ {
+			copy(dst[(c*d.H+h)*d.W:][:d.W], pad[c*plane+(h+d.PadH)*wp+d.PadW:])
+		}
+	}
+}
+
+// col2imPad is Col2Im onto the zero-bordered image: gpad must be zero, and
+// every element receives exactly the adds Col2Im gives it, in Col2Im's
+// order (kk ascending, then output position) — the interior elements are
+// therefore bitwise Col2Im's result, and the border collects the adds
+// Col2Im clips, to be discarded by cropImage. No clipping branches remain.
+func col2imPad(gpad, cols []float32, g *convGeom, kdim, oh int) {
+	ow := g.ow
+	ro, kh, kw := 0, 0, 0
+	for kk := 0; kk < kdim; kk++ {
+		src := cols[kk*oh*ow : (kk+1)*oh*ow]
+		if g.sw == 1 {
+			// the window's rows are contiguous runs sh·wp apart
+			addRowsF32(gpad[ro:], g.sh*g.wp, src, oh, ow)
+		} else {
+			base := ro
+			for y := 0; y < oh; y++ {
+				for x, v := range src[y*ow : (y+1)*ow] {
+					gpad[base+x*g.sw] += v
+				}
+				base += g.sh * g.wp
+			}
+		}
+		ro, kh, kw = g.nextRow(ro, kh, kw)
+	}
+}
+
 // addBias adds bias[co] to each spatial row of one image's output.
 func addBias(out, bias []float32, cout, spatial int) {
 	for co := 0; co < cout; co++ {
@@ -142,28 +213,37 @@ func addBias(out, bias []float32, cout, spatial int) {
 // different GPU architectures' kernels; a fixed kc across types is the D2
 // hardware-agnostic kernel.
 //
-// The weight panel is packed once and reused across the batch; each image's
-// im2col expansion is fused into the B-panel pack, so no cols matrix is ever
-// materialized. Both reorganizations are bitwise invisible.
+// The weight panel is packed once and reused across the batch; each image
+// is copied once into a zero-bordered buffer and its im2col expansion is
+// fused into the B-panel pack (one panel for all of k when it fits), so no
+// cols matrix is ever materialized. All of it is bitwise invisible. The
+// GEMMs run without the pack-ahead pipeline: a whole-K panel leaves nothing
+// to overlap.
+//
+//easyscale:hotpath
 func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 	d.validate()
-	oh, ow := d.OutH(), d.OutW()
 	kdim, spatial := d.ColRows(), d.ColCols()
-	if len(dst) != d.Batch*d.COut*oh*ow ||
-		len(src) != d.Batch*d.CIn*d.H*d.W ||
-		len(weight) != d.COut*kdim {
+	imgIn, imgOut := d.CIn*d.H*d.W, d.COut*spatial
+	if len(dst) != d.Batch*imgOut || len(src) != d.Batch*imgIn || len(weight) != d.COut*kdim {
 		panic("kernels: Conv2D buffer size mismatch")
 	}
-	imgIn := d.CIn * d.H * d.W
-	imgOut := d.COut * oh * ow
+	g := d.geom()
 	pa := packA(weight, d.COut, kdim, normKC(kc, kdim), kdim, 1)
+	var pad []float32
+	if d.padded() {
+		pad = pool.Get(d.padLen())
+	}
 	for b := 0; b < d.Batch; b++ {
 		out := dst[b*imgOut : (b+1)*imgOut]
-		bsrc := bPanelSrc{kind: bIm2Col, data: src[b*imgIn : (b+1)*imgIn], dims: d}
+		bsrc := bPanelSrc{kind: bIm2Col, data: padImage(pad, src[b*imgIn:(b+1)*imgIn], &d), geo: g}
 		gemmRange(out, spatial, &pa, &bsrc, 0, pa.mtiles, 0, spatial, nil)
 		if bias != nil {
 			addBias(out, bias, d.COut, spatial)
 		}
+	}
+	if pad != nil {
+		pool.Put(pad)
 	}
 	pa.release()
 }
@@ -176,14 +256,17 @@ func Conv2D(dst, src, weight, bias []float32, d ConvDims, kc int) {
 //
 // The transposed weight panel of the dX GEMM is packed once per call and
 // reused across the batch; the cols operand of the dW GEMM is packed
-// directly from the source image (fused im2colᵀ), so the backward pass, like
-// the forward, never materializes an im2col matrix.
+// directly from the zero-bordered image (fused im2colᵀ, one whole-K panel
+// when it fits), and the dX columns are scattered onto a zero-bordered
+// image and cropped, so the backward pass, like the forward, never
+// materializes an im2col matrix, never clips a window and runs no
+// pack-ahead pipeline.
+//
+//easyscale:hotpath
 func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
 	d.validate()
-	oh, ow := d.OutH(), d.OutW()
 	kdim, spatial := d.ColRows(), d.ColCols()
-	imgIn := d.CIn * d.H * d.W
-	imgOut := d.COut * oh * ow
+	imgIn, imgOut := d.CIn*d.H*d.W, d.COut*spatial
 	if len(gradOut) != d.Batch*imgOut || len(src) != d.Batch*imgIn || len(weight) != d.COut*kdim {
 		panic("kernels: Conv2DBackward buffer size mismatch")
 	}
@@ -203,16 +286,23 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		panic("kernels: Conv2DBackward gradSrc size mismatch")
 	}
 
-	var dcols []float32
+	g := d.geom()
+	var wpart, pad []float32
+	if gradWeight != nil {
+		wpart = pool.GetUninit(d.COut * kdim)
+		if d.padded() {
+			pad = pool.Get(d.padLen())
+		}
+	}
+	var dcols, gpad []float32
 	var paT packedA
 	if gradSrc != nil {
 		dcols = pool.GetUninit(kdim * spatial)
+		if d.padded() {
+			gpad = pool.GetUninit(d.padLen())
+		}
 		// transposed weight panel for dCols = Wᵀ·dOut, packed once per call
 		paT = packA(weight, kdim, d.COut, normKC(kc, d.COut), 1, kdim)
-	}
-	var wpart []float32
-	if gradWeight != nil {
-		wpart = pool.GetUninit(d.COut * kdim)
 	}
 	kcW := normKC(kc, spatial)
 	for b := 0; b < d.Batch; b++ {
@@ -220,29 +310,42 @@ func Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut []float3
 		if gradWeight != nil {
 			// dW += dOut · colsᵀ : [CO, spatial]·[spatial, kdim] = [CO, kdim]
 			paD := packA(dout, d.COut, spatial, kcW, spatial, 1)
-			bsrc := bPanelSrc{kind: bIm2ColT, data: src[b*imgIn : (b+1)*imgIn], dims: d}
+			bsrc := bPanelSrc{kind: bIm2ColT, data: padImage(pad, src[b*imgIn:(b+1)*imgIn], &d), geo: g}
 			gemmRange(wpart, kdim, &paD, &bsrc, 0, paD.mtiles, 0, kdim, nil)
 			paD.release()
 			AddF32(gradWeight, wpart)
 		}
 		if gradBias != nil {
 			for co := 0; co < d.COut; co++ {
-				row := dout[co*spatial : (co+1)*spatial]
-				gradBias[co] += SumBlocked(row, kc)
+				gradBias[co] += SumBlocked(dout[co*spatial:(co+1)*spatial], kc)
 			}
 		}
 		if gradSrc != nil {
 			// dCols = Wᵀ · dOut : [kdim, CO]·[CO, spatial]
 			bsrc := bPanelSrc{kind: bRowMajor, data: dout, ld: spatial}
 			gemmRange(dcols, spatial, &paT, &bsrc, 0, paT.mtiles, 0, spatial, nil)
-			Col2Im(gradSrc[b*imgIn:(b+1)*imgIn], dcols, d)
+			gs := gradSrc[b*imgIn : (b+1)*imgIn]
+			if gpad == nil {
+				zeroFill(gs)
+				col2imPad(gs, dcols, &g, kdim, d.OutH())
+			} else {
+				zeroFill(gpad)
+				col2imPad(gpad, dcols, &g, kdim, d.OutH())
+				cropImage(gs, gpad, &d)
+			}
 		}
+	}
+	if wpart != nil {
+		pool.Put(wpart)
+	}
+	if pad != nil {
+		pool.Put(pad)
 	}
 	if dcols != nil {
 		pool.Put(dcols)
 		paT.release()
 	}
-	if wpart != nil {
-		pool.Put(wpart)
+	if gpad != nil {
+		pool.Put(gpad)
 	}
 }

@@ -205,3 +205,34 @@ func TestConvDimsValidatePanics(t *testing.T) {
 	d := ConvDims{Batch: 1, CIn: 1, H: 2, W: 2, COut: 1, KH: 5, KW: 5, StrideH: 1, StrideW: 1}
 	Conv2D(make([]float32, 1), make([]float32, 4), make([]float32, 25), nil, d, 0)
 }
+
+// BenchmarkConv times the conv entry points the nn layer calls, on
+// resnet50's two conv shapes (batch 4, 8×8 images, 3×3 pad 1) at the D2
+// block kc = 8, with allocations reported.
+func BenchmarkConv(b *testing.B) {
+	for _, sh := range []struct {
+		name string
+		d    ConvDims
+	}{
+		{"3to8", ConvDims{Batch: 4, CIn: 3, H: 8, W: 8, COut: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+		{"8to8", ConvDims{Batch: 4, CIn: 8, H: 8, W: 8, COut: 8, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}},
+	} {
+		d := sh.d
+		src, weight, _, gradOut := convOperands(d, 9, false)
+		dst := make([]float32, len(gradOut))
+		gs := make([]float32, len(src))
+		gw := make([]float32, len(weight))
+		b.Run(sh.name+"/fwd", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Conv2D(dst, src, weight, nil, d, 8)
+			}
+		})
+		b.Run(sh.name+"/bwd", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Conv2DBackward(gs, gw, nil, src, weight, gradOut, d, 8)
+			}
+		})
+	}
+}

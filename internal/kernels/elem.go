@@ -33,6 +33,23 @@ func AddF32(dst, src []float32) {
 	}
 }
 
+// addRowsF32 computes dst[r·ld+c] += src[r·n+c] for r < rows, c < n: AddF32
+// over rows that lie ld apart in dst and back to back in src (col2imPad's
+// window rows).
+//
+//easyscale:hotpath
+func addRowsF32(dst []float32, ld int, src []float32, rows, n int) {
+	if elemAddRows(dst, ld, src, rows, n) {
+		return
+	}
+	for r := 0; r < rows; r++ {
+		d := dst[r*ld : r*ld+n]
+		for c, v := range src[r*n : r*n+n] {
+			d[c] += v
+		}
+	}
+}
+
 // MulF32 computes dst[i] *= src[i].
 //
 //easyscale:hotpath

@@ -16,6 +16,9 @@ func elemSIMDOn() bool { return activeMK().elemSIMD }
 func eadd8(dst, src *float32, n int)
 
 //go:noescape
+func eaddrows8(dst *float32, ld int, src *float32, rows, n int)
+
+//go:noescape
 func emul8(dst, src *float32, n int)
 
 //go:noescape
@@ -58,6 +61,18 @@ func elemAdd(dst, src []float32) int {
 	}
 	eadd8(&dst[0], &src[0], n)
 	return n
+}
+
+// elemAddRows runs addRowsF32 on the vector body when every row is whole
+// vectors, and reports whether it did.
+func elemAddRows(dst []float32, ld int, src []float32, rows, n int) bool {
+	if rows <= 0 || n <= 0 || n&7 != 0 || ld < n || !elemSIMDOn() {
+		return false
+	}
+	_ = dst[(rows-1)*ld+n-1]
+	_ = src[rows*n-1]
+	eaddrows8(&dst[0], ld, &src[0], rows, n)
+	return true
 }
 
 func elemMul(dst, src []float32) int {

@@ -30,6 +30,36 @@ add_loop:
 	VZEROUPPER
 	RET
 
+// func eaddrows8(dst *float32, ld int, src *float32, rows, n int)
+// dst[r*ld+c] += src[r*n+c] for r < rows, c < n: eadd8 over rows that lie
+// ld floats apart in dst and back to back in src (n a multiple of 8)
+TEXT ·eaddrows8(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ ld+8(FP), DX
+	MOVQ src+16(FP), SI
+	MOVQ rows+24(FP), R8
+	MOVQ n+32(FP), R9
+	SHLQ $2, DX            // dst row stride in bytes
+
+addrows_row:
+	MOVQ DI, BX
+	MOVQ R9, CX
+
+addrows_col:
+	VMOVUPS (BX), Y0
+	VMOVUPS (SI), Y1
+	VADDPS  Y1, Y0, Y0     // dst + src (dst first, matching Go's +=)
+	VMOVUPS Y0, (BX)
+	ADDQ    $32, BX
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	JNZ     addrows_col
+	ADDQ    DX, DI
+	DECQ    R8
+	JNZ     addrows_row
+	VZEROUPPER
+	RET
+
 // func emul8(dst, src *float32, n int)
 // dst[i] *= src[i]
 TEXT ·emul8(SB), NOSPLIT, $0-24

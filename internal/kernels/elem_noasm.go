@@ -18,3 +18,5 @@ func elemScaleShift(dst, src []float32, g, b float32) int               { return
 func elemNormBackward(dst, g, xh []float32, c0, c1, c2, c3 float32) int { return 0 }
 func elemSgdMomentum(w, v, g []float32, lr, mu float32) int             { return 0 }
 func elemSgdPlain(w, g []float32, lr float32) int                       { return 0 }
+
+func elemAddRows(dst []float32, ld int, src []float32, rows, n int) bool { return false }

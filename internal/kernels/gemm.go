@@ -1,6 +1,10 @@
 package kernels
 
-import "repro/internal/pool"
+import (
+	"sync"
+
+	"repro/internal/pool"
+)
 
 // Cache-blocked, register-tiled GEMM under the bitwise contract.
 //
@@ -15,10 +19,12 @@ import "repro/internal/pool"
 //   - A is packed once per call into mr-wide row strips, kk-major within each
 //     kc block, so the micro-kernel reads it with unit stride regardless of
 //     the operand's original layout (normal or transposed).
-//   - B is packed per (kc block × nc column block) into nr-wide column
-//     strips, again kk-major. The pack step is a pure data movement, so it
-//     can source a plain matrix, a transposed one, or an image via the
-//     im2col index map (the conv path) without touching numerics.
+//   - B is packed per nc column block into nr-wide column strips, again
+//     kk-major: one panel per kc block, or one for all of k when B is an
+//     im2col panel that fits gemmPanelMax (see gemmRange). The pack step
+//     is a pure data movement, so it can source a plain matrix, a
+//     transposed one, or a zero-bordered image via the im2col index map
+//     (the conv path) without touching numerics.
 //   - Each mr×nr output tile is computed by a register-tiled micro-kernel
 //     holding mr·nr accumulators: for each kk ascending, it performs mr·nr
 //     multiply-adds off mr+nr loads. Per element this is exactly the
@@ -39,6 +45,11 @@ var (
 	// gemmNC bounds the columns packed per B panel (the L1/L2-resident B
 	// block). Must stay a multiple of every variant's nr.
 	gemmNC = 256
+	// gemmPanelMax bounds a whole-K im2col panel (floats): at or below it,
+	// a conv GEMM packs B once per column block instead of once per kc
+	// block. 32 KiB stays L1-resident while the micro-kernel streams it; a
+	// larger panel would trade that for L2 traffic on every strip.
+	gemmPanelMax = 1 << 13
 	// tiledMinWork is the m·k·n product below which the dispatchers use the
 	// reference loops: at trivial sizes the pack+tile overhead outweighs the
 	// register reuse. Dispatch by size is invisible to numerics because the
@@ -70,21 +81,38 @@ func packA(a []float32, m, k, kc, rs, cs int) packedA {
 	mtiles := (m + mr - 1) / mr
 	pa := packedA{m: m, k: k, kc: kc, mtiles: mtiles, mk: mk}
 	pa.buf = pool.GetUninit(mtiles * mr * k)
+	var rowStart [maxNR]int
 	off := 0
 	for k0 := 0; k0 < k; k0 += kc {
 		kb := min(kc, k-k0)
 		for s := 0; s < mtiles; s++ {
 			i0 := s * mr
 			rows := min(mr, m-i0)
-			for p := 0; p < kb; p++ {
+			for r := 0; r < rows; r++ {
+				rowStart[r] = (i0 + r) * rs
+			}
+			for p := 0; p < kb; {
 				base := (k0 + p) * cs
-				for r := 0; r < rows; r++ {
-					pa.buf[off] = a[(i0+r)*rs+base]
-					off++
-				}
-				for r := rows; r < mr; r++ {
-					pa.buf[off] = 0
-					off++
+				switch {
+				case rows == 8 && rs == 1:
+					// transposed operand: the strip's column is contiguous
+					copy8(pa.buf[off:], a[i0+base:])
+					off += 8
+					p++
+				case rows == 8 && cs == 1 && p+8 <= kb && transpose8(pa.buf[off:off+64], a, &rowStart, base):
+					// normal operand: eight columns of eight rows, transposed
+					off += 64
+					p += 8
+				default:
+					for r := 0; r < rows; r++ {
+						pa.buf[off] = a[rowStart[r]+base]
+						off++
+					}
+					for r := rows; r < mr; r++ {
+						pa.buf[off] = 0
+						off++
+					}
+					p++
 				}
 			}
 		}
@@ -101,9 +129,9 @@ func (pa *packedA) release() { pool.Put(pa.buf) }
 // on every GEMM call.
 type bPanelSrc struct {
 	kind int
-	data []float32 // matrix for row/col-major kinds, the source image for im2col kinds
+	data []float32 // matrix for row/col-major kinds, the zero-bordered image for im2col kinds
 	ld   int       // leading dimension: n (row-major) or k (col-major)
-	dims ConvDims  // im2col geometry for the conv kinds
+	geo  convGeom  // im2col index map for the conv kinds
 }
 
 const (
@@ -118,7 +146,8 @@ const (
 // movement: the layout change is invisible to numerics, and the panel bits
 // are a function of (source, block coordinates, nr) only — which is what
 // makes the pack/compute overlap handoff deterministic regardless of which
-// goroutine runs the pack.
+// goroutine runs the pack. kb may span several kc blocks (a whole-K panel):
+// block k0' of strip t then starts at t·kb·nr + (k0'−k0)·nr.
 func (s *bPanelSrc) pack(bp []float32, k0, kb, j0, jw, nr int) {
 	switch s.kind {
 	case bRowMajor:
@@ -126,10 +155,18 @@ func (s *bPanelSrc) pack(bp []float32, k0, kb, j0, jw, nr int) {
 	case bColMajor:
 		packBColMajor(bp, s.data, s.ld, k0, kb, j0, jw, nr)
 	case bIm2Col:
-		packBIm2Col(bp, s.data, &s.dims, k0, kb, j0, jw, nr)
+		packBIm2Col(bp, s.data, &s.geo, k0, kb, j0, jw, nr)
 	case bIm2ColT:
-		packBIm2ColT(bp, s.data, &s.dims, k0, kb, j0, jw, nr)
+		packBIm2ColT(bp, s.data, &s.geo, k0, kb, j0, jw, nr)
 	}
+}
+
+// copy8 moves eight floats. Going through a local array lets the compiler
+// emit two 16-byte register moves; a direct array assignment between two
+// slices that may overlap compiles to a runtime.memmove call instead.
+func copy8(dst, src []float32) {
+	v := *(*[8]float32)(src)
+	*(*[8]float32)(dst) = v
 }
 
 func packBRowMajor(bp, b []float32, n, k0, kb, j0, jw, nr int) {
@@ -139,7 +176,7 @@ func packBRowMajor(bp, b []float32, n, k0, kb, j0, jw, nr int) {
 		for p := 0; p < kb; p++ {
 			row := b[(k0+p)*n+j0+t0:]
 			if tw == 8 {
-				*(*[8]float32)(bp[off:]) = *(*[8]float32)(row)
+				copy8(bp[off:], row)
 				off += 8
 			} else {
 				for c := 0; c < tw; c++ {
@@ -173,161 +210,141 @@ func packBColMajor(bp, b []float32, ldb, k0, kb, j0, jw, nr int) {
 	}
 }
 
-// packBIm2Col packs the forward-conv B operand straight from the image: the
-// im2col matrix row kk = (ci,kh,kw) at column j = (y,x) is src[ci, y·sh+kh-ph,
-// x·sw+kw-pw] (zero outside the image). Fusing the expansion into the pack
-// step removes the materialized cols buffer and its extra memory round trip.
-func packBIm2Col(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
-	ow := d.OutW()
+// convGeom is a convolution's im2col index map over the zero-bordered image
+// [CI, H+2·PH, W+2·PW] (see padImage): im2col row kk = (ci,kh,kw) reads the
+// padded image at rowOff(kk) = ci·plane + kh·wp + kw, column j = (y,x) at
+// colOff(j) = y·sh·wp + x·sw, and element (kk,j) is pad[rowOff+colOff]. The
+// border holds the zeros the padding contributes, so every read is in
+// bounds and the packs carry no clipping branches. The packs walk both
+// offsets incrementally; the only divisions are the ones locating a pack's
+// first row and column.
+type convGeom struct {
+	kh, kw    int // kernel window
+	wp, plane int // padded row length and channel plane (padded H · wp)
+	ow        int // output width
+	sh, sw    int // strides
+	rowMax    int // row offset of the last im2col row
+}
+
+// rowOff returns the padded-image offset of im2col row kk = (ci,kh,kw),
+// with the window position (kh, kw) the incremental walk continues from.
+func (g *convGeom) rowOff(kk int) (off, kh, kw int) {
+	if kk == 0 {
+		return 0, 0, 0
+	}
+	q := kk / g.kw
+	kw = kk - q*g.kw
+	ci := q / g.kh
+	kh = q - ci*g.kh
+	return ci*g.plane + kh*g.wp + kw, kh, kw
+}
+
+// nextRow advances a row offset from (·,kh,kw) to the next im2col row.
+func (g *convGeom) nextRow(off, kh, kw int) (int, int, int) {
+	off++
+	kw++
+	if kw == g.kw {
+		kw = 0
+		kh++
+		off += g.wp - g.kw
+		if kh == g.kh {
+			kh = 0
+			off += g.plane - g.kh*g.wp
+		}
+	}
+	return off, kh, kw
+}
+
+// packBIm2Col packs the forward-conv B operand straight from the padded
+// image. When a strip's columns are one contiguous image run (unit stride,
+// no output-row wrap) each kk row is a straight copy — the whole strip one
+// AVX2 call on the 8-wide variant; otherwise the strip's column offsets are
+// computed once and gathered for every row. Values and layout are those of
+// the explicit Im2Col matrix; only addressing differs.
+func packBIm2Col(bp, pad []float32, g *convGeom, k0, kb, j0, jw, nr int) {
+	row0, kh0, kw0 := g.rowOff(k0)
+	y := j0 / g.ow
+	x := j0 - y*g.ow
+	rowBase := y * g.sh * g.wp
+	var colOff [maxNR]int
 	off := 0
 	for t0 := 0; t0 < jw; t0 += nr {
 		tw := min(nr, jw-t0)
-		y0 := (j0 + t0) / ow
-		x0 := (j0 + t0) % ow
-		ci := k0 / (d.KH * d.KW)
-		rem := k0 % (d.KH * d.KW)
-		kh := rem / d.KW
-		kw := rem % d.KW
-		// When the tile's columns stay on one output row and stride is 1,
-		// the tw source elements are contiguous in the image; packing is a
-		// straight copy unless padding clips the run. Values and layout are
-		// identical to the per-element walk below — only addressing differs.
-		rowFast := d.StrideW == 1 && x0+tw <= ow
+		run := g.sw == 1 && x+tw <= g.ow
+		for c := 0; c < tw; c++ {
+			colOff[c] = rowBase + x*g.sw
+			x++
+			if x == g.ow {
+				x = 0
+				rowBase += g.sh * g.wp
+			}
+		}
+		if run && tw == 8 && im2colRuns8(bp[off:off+8*kb], pad, g, row0, kh0, kw0, colOff[0], kb) {
+			off += 8 * kb
+			continue
+		}
+		ro, kh, kw := row0, kh0, kw0
 		for p := 0; p < kb; p++ {
-			if rowFast {
-				hi := y0*d.StrideH + kh - d.PadH
-				wi := x0 + kw - d.PadW
-				if hi >= 0 && hi < d.H && wi >= 0 && wi+tw <= d.W {
-					if tw == 8 {
-						// Full 8-wide tile: a direct array move beats the
-						// memmove dispatch of copy for 32 bytes.
-						*(*[8]float32)(bp[off:]) = *(*[8]float32)(src[(ci*d.H+hi)*d.W+wi:])
-					} else {
-						copy(bp[off:off+tw], src[(ci*d.H+hi)*d.W+wi:])
-					}
-					off += tw
-				} else if hi < 0 || hi >= d.H || wi+tw <= 0 || wi >= d.W {
-					for c := 0; c < tw; c++ {
-						bp[off] = 0
-						off++
-					}
-				} else {
-					for c := 0; c < tw; c++ {
-						var v float32
-						if wi+c >= 0 && wi+c < d.W {
-							v = src[(ci*d.H+hi)*d.W+wi+c]
-						}
-						bp[off] = v
-						off++
-					}
-				}
+			dst := bp[off : off+nr]
+			if run {
+				copy(dst[:tw], pad[ro+colOff[0]:])
 			} else {
-				y, x := y0, x0
 				for c := 0; c < tw; c++ {
-					hi := y*d.StrideH + kh - d.PadH
-					wi := x*d.StrideW + kw - d.PadW
-					var v float32
-					if hi >= 0 && hi < d.H && wi >= 0 && wi < d.W {
-						v = src[(ci*d.H+hi)*d.W+wi]
-					}
-					bp[off] = v
-					off++
-					x++
-					if x == ow {
-						x = 0
-						y++
-					}
+					dst[c] = pad[ro+colOff[c]]
 				}
 			}
 			for c := tw; c < nr; c++ {
-				bp[off] = 0
-				off++
+				dst[c] = 0
 			}
-			kw++
-			if kw == d.KW {
-				kw = 0
-				kh++
-				if kh == d.KH {
-					kh = 0
-					ci++
-				}
-			}
+			off += nr
+			ro, kh, kw = g.nextRow(ro, kh, kw)
 		}
 	}
 }
 
 // packBIm2ColT packs the transposed im2col matrix (reduction over spatial
 // positions, columns over CI·KH·KW), the B operand of the weight-gradient
-// GEMM dW = dY·colsᵀ — again straight from the image, no cols buffer.
-func packBIm2ColT(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
-	ow := d.OutW()
+// GEMM dW = dY·colsᵀ — again straight from the padded image: a strip's nr
+// row offsets are computed once, then every spatial position gathers nr
+// values at its column offset. On the 8-wide variant, eight positions of
+// one output row (unit stride) are one 8×8 block of contiguous image runs,
+// moved by a single AVX2 transpose.
+func packBIm2ColT(bp, pad []float32, g *convGeom, k0, kb, j0, jw, nr int) {
+	ro, kh, kw := g.rowOff(j0)
+	y0 := k0 / g.ow
+	x0 := k0 - y0*g.ow
+	var rowOff [maxNR]int
 	for t0 := 0; t0 < jw; t0 += nr {
 		tw := min(nr, jw-t0)
-		tOff := t0 * kb
 		for c := 0; c < tw; c++ {
-			kr := j0 + t0 + c
-			ci := kr / (d.KH * d.KW)
-			rem := kr % (d.KH * d.KW)
-			kh := rem / d.KW
-			kw := rem % d.KW
-			y := k0 / ow
-			x := k0 % ow
-			if d.StrideW == 1 {
-				// Walk whole output rows at a time: within a row hi is
-				// fixed and the source index advances by one per position,
-				// so the bounds checks and index math hoist out of the
-				// per-element loop. Same values, same bp layout.
-				for p := 0; p < kb; {
-					run := ow - x
-					if run > kb-p {
-						run = kb - p
-					}
-					hi := y*d.StrideH + kh - d.PadH
-					wi := x + kw - d.PadW
-					out := tOff + p*nr + c
-					if hi >= 0 && hi < d.H && wi >= 0 && wi+run <= d.W {
-						row := src[(ci*d.H+hi)*d.W+wi:]
-						for q := 0; q < run; q++ {
-							bp[out+q*nr] = row[q]
-						}
-					} else if hi < 0 || hi >= d.H || wi+run <= 0 || wi >= d.W {
-						for q := 0; q < run; q++ {
-							bp[out+q*nr] = 0
-						}
-					} else {
-						base := (ci*d.H + hi) * d.W
-						for q := 0; q < run; q++ {
-							var v float32
-							if wi+q >= 0 && wi+q < d.W {
-								v = src[base+wi+q]
-							}
-							bp[out+q*nr] = v
-						}
-					}
-					p += run
-					x = 0
-					y++
-				}
+			rowOff[c] = ro
+			ro, kh, kw = g.nextRow(ro, kh, kw)
+		}
+		x, rowBase := x0, y0*g.sh*g.wp
+		co := rowBase + x*g.sw
+		off := t0 * kb
+		for p := 0; p < kb; {
+			step := 1
+			if tw == 8 && g.sw == 1 && x+8 <= g.ow && p+8 <= kb && transpose8(bp[off:off+64], pad, &rowOff, co) {
+				// eight positions of one output row in one 8×8 transpose
+				step = 8
 			} else {
-				for p := 0; p < kb; p++ {
-					hi := y*d.StrideH + kh - d.PadH
-					wi := x*d.StrideW + kw - d.PadW
-					var v float32
-					if hi >= 0 && hi < d.H && wi >= 0 && wi < d.W {
-						v = src[(ci*d.H+hi)*d.W+wi]
-					}
-					bp[tOff+p*nr+c] = v
-					x++
-					if x == ow {
-						x = 0
-						y++
-					}
+				dst := bp[off : off+nr]
+				for c := 0; c < tw; c++ {
+					dst[c] = pad[rowOff[c]+co]
+				}
+				for c := tw; c < nr; c++ {
+					dst[c] = 0
 				}
 			}
-		}
-		for c := tw; c < nr; c++ {
-			for p := 0; p < kb; p++ {
-				bp[tOff+p*nr+c] = 0
+			p += step
+			off += step * nr
+			x += step
+			co += step * g.sw
+			if x == g.ow {
+				x = 0
+				rowBase += g.sh * g.wp
+				co = rowBase
 			}
 		}
 	}
@@ -340,13 +357,19 @@ func packBIm2ColT(bp, src []float32, d *ConvDims, k0, kb, j0, jw, nr int) {
 // parallel dispatch unit) is bitwise invisible. dst is fully overwritten in
 // the covered rectangle.
 //
-// B panels are consumed in a fixed sequence — column blocks ascending, kc
-// blocks ascending within each — flattened into one panel index. When ov is
-// non-nil (the parallel path), the next panel in the sequence is packed on a
-// pool worker while the current one feeds the micro-kernel, double-buffered;
-// ov == nil packs each panel inline. Both modes produce identical bits: a
-// panel's contents are a pure function of its coordinates (see
-// bPanelSrc.pack), and the compute loop never observes who packed it.
+// B panels are consumed in a fixed sequence — column blocks ascending, k
+// ranges ascending within each — flattened into one panel index. An im2col
+// panel without a pack-ahead pipeline (ov == nil) spans all of k whenever
+// that fits gemmPanelMax: each pack call walks the image's index map from
+// scratch, so the image is packed once per column block, and the
+// micro-kernel walks each tile's kc blocks in ascending order while the C
+// tile stays in L1. A matrix panel is a plain copy with no such setup and
+// spans one kc block, keeping its buffer small for small-M passes. When ov is non-nil (the parallel matmul path), the next
+// panel in the sequence is packed on a pool worker while the current one
+// feeds the micro-kernel, double-buffered. All modes produce identical
+// bits: a panel's contents are a pure function of its coordinates (see
+// bPanelSrc.pack), and each output element sees the same kc blocks in the
+// same order whoever packed them and however they were grouped.
 func gemmRange(dst []float32, n int, pa *packedA, bsrc *bPanelSrc, s0, s1, j0, j1 int, ov *packAhead) {
 	m, k, kc := pa.m, pa.k, pa.kc
 	mk := pa.mk
@@ -362,8 +385,13 @@ func gemmRange(dst []float32, n int, pa *packedA, bsrc *bPanelSrc, s0, s1, j0, j
 	if j1 <= j0 || s1 <= s0 {
 		return
 	}
-	panelElems := ((min(gemmNC, j1-j0) + nr - 1) / nr) * nr * min(kc, k)
-	nk := (k + kc - 1) / kc
+	panelCols := ((min(gemmNC, j1-j0) + nr - 1) / nr) * nr
+	kspan := kc
+	if ov == nil && bsrc.kind >= bIm2Col && panelCols*k <= gemmPanelMax {
+		kspan = k
+	}
+	panelElems := panelCols * min(kspan, k)
+	nk := (k + kspan - 1) / kspan
 	njc := (j1 - j0 + gemmNC - 1) / gemmNC
 	npanels := njc * nk
 
@@ -376,17 +404,17 @@ func gemmRange(dst []float32, n int, pa *packedA, bsrc *bPanelSrc, s0, s1, j0, j
 	}
 
 	// desc derives panel p's coordinates from the flattened index — the same
-	// (jc outer, k0 inner) order the nested loops used to walk.
-	desc := func(p int) (jc, jcw, k0, kb int) {
+	// (jc outer, k range inner) order the nested loops used to walk.
+	desc := func(p int) (jc, jcw, kp, kpb int) {
 		jc = j0 + (p/nk)*gemmNC
 		jcw = min(gemmNC, j1-jc)
-		k0 = (p % nk) * kc
-		kb = min(kc, k-k0)
+		kp = (p % nk) * kspan
+		kpb = min(kspan, k-kp)
 		return
 	}
 	if ov != nil {
-		jc, jcw, k0, kb := desc(0)
-		ov.submit(0, panelJob{dst: bufs[0], src: *bsrc, k0: k0, kb: kb, j0: jc, jw: jcw, nr: nr})
+		jc, jcw, kp, kpb := desc(0)
+		ov.submit(0, panelJob{dst: bufs[0], src: *bsrc, k0: kp, kb: kpb, j0: jc, jw: jcw, nr: nr})
 	}
 
 	// Edge-tile scratch comes from the arena, not the stack: it is passed to
@@ -394,7 +422,7 @@ func gemmRange(dst []float32, n int, pa *packedA, bsrc *bPanelSrc, s0, s1, j0, j
 	// allocate a stack array on every call through that indirection.
 	tile := pool.GetUninit(maxMR * maxNR)
 	for p := 0; p < npanels; p++ {
-		jc, jcw, k0, kb := desc(p)
+		jc, jcw, kp, kpb := desc(p)
 		slot := 0
 		if ov != nil {
 			slot = p & 1
@@ -406,45 +434,48 @@ func gemmRange(dst []float32, n int, pa *packedA, bsrc *bPanelSrc, s0, s1, j0, j
 				// The other buffer was consumed at panel p-1 (compute below is
 				// synchronous), so packing panel p+1 into it now overlaps with
 				// this panel's micro-kernel loop.
-				njc2, njcw2, nk02, nkb2 := desc(p + 1)
-				ov.submit(slot^1, panelJob{dst: bufs[slot^1], src: *bsrc, k0: nk02, kb: nkb2, j0: njc2, jw: njcw2, nr: nr})
+				njc2, njcw2, nkp2, nkpb2 := desc(p + 1)
+				ov.submit(slot^1, panelJob{dst: bufs[slot^1], src: *bsrc, k0: nkp2, kb: nkpb2, j0: njc2, jw: njcw2, nr: nr})
 			}
 		} else {
-			bsrc.pack(bp, k0, kb, jc, jcw, nr)
+			bsrc.pack(bp, kp, kpb, jc, jcw, nr)
 		}
 
-		add := k0 > 0
-		aBlock := k0 * pa.mtiles * mr
 		for sc := s0; sc < s1; sc += gemmMCStrips {
 			scEnd := min(s1, sc+gemmMCStrips)
 			for t := 0; t*nr < jcw; t++ {
-				bpOff := t * kb * nr
 				jt := jc + t*nr
 				cols := min(nr, jcw-t*nr)
 				for s := sc; s < scEnd; s++ {
-					apOff := aBlock + s*kb*mr
 					i0 := s * mr
-					if i0+mr <= m && cols == nr {
-						mk.fn(dst, i0*n+jt, n, pa.buf[apOff:], bp[bpOff:], kb, add)
-						continue
-					}
-					// edge tile: compute the full register tile into
-					// scratch, then store/add only the valid region —
-					// padded lanes (zero-filled operands) never reach dst
-					mk.fn(tile, 0, nr, pa.buf[apOff:], bp[bpOff:], kb, false)
+					full := i0+mr <= m && cols == nr
 					rows := min(mr, m-i0)
-					if add {
-						for r := 0; r < rows; r++ {
-							row := dst[(i0+r)*n+jt:]
-							for c := 0; c < cols; c++ {
-								row[c] += tile[r*nr+c]
-							}
+					for k0 := kp; k0 < kp+kpb; k0 += kc {
+						kb := min(kc, k-k0)
+						add := k0 > 0
+						ap := pa.buf[k0*pa.mtiles*mr+s*kb*mr:]
+						bpk := bp[(t*kpb+k0-kp)*nr:]
+						if full {
+							mk.fn(dst, i0*n+jt, n, ap, bpk, kb, add)
+							continue
 						}
-					} else {
-						for r := 0; r < rows; r++ {
-							row := dst[(i0+r)*n+jt:]
-							for c := 0; c < cols; c++ {
-								row[c] = tile[r*nr+c]
+						// edge tile: compute the full register tile into
+						// scratch, then store/add only the valid region —
+						// padded lanes (zero-filled operands) never reach dst
+						mk.fn(tile, 0, nr, ap, bpk, kb, false)
+						if add {
+							for r := 0; r < rows; r++ {
+								row := dst[(i0+r)*n+jt:]
+								for c := 0; c < cols; c++ {
+									row[c] += tile[r*nr+c]
+								}
+							}
+						} else {
+							for r := 0; r < rows; r++ {
+								row := dst[(i0+r)*n+jt:]
+								for c := 0; c < cols; c++ {
+									row[c] = tile[r*nr+c]
+								}
 							}
 						}
 					}
@@ -462,31 +493,52 @@ func gemmRange(dst []float32, n int, pa *packedA, bsrc *bPanelSrc, s0, s1, j0, j
 	}
 }
 
+// gemmTask is one parallel GEMM: the output rectangle split into contiguous
+// runs of row strips (byRows, tall matrices) or column strips (wide ones).
+// Tasks are pooled and hold their operands by value, so a dispatch
+// allocates nothing.
+type gemmTask struct {
+	dst    []float32
+	n      int
+	pa     packedA
+	bsrc   bPanelSrc
+	byRows bool
+}
+
+var gemmTasks = sync.Pool{New: func() any { return new(gemmTask) }}
+
+// runChunk computes one unit with its own ascending kc loop, packing its own
+// B panels — overlapped with compute via a packAhead pipeline when helpers
+// are available — so units are disjoint in their outputs and bitwise
+// independent of the worker count.
+func (g *gemmTask) runChunk(lo, hi int) {
+	ov := takePackAhead()
+	if g.byRows {
+		gemmRange(g.dst, g.n, &g.pa, &g.bsrc, lo, hi, 0, g.n, ov)
+	} else {
+		nr := g.pa.mk.nr
+		gemmRange(g.dst, g.n, &g.pa, &g.bsrc, 0, g.pa.mtiles, lo*nr, min(g.n, hi*nr), ov)
+	}
+	putPackAhead(ov)
+}
+
 // gemmParallel dispatches whole cache blocks of the output rectangle to the
 // worker pool: contiguous runs of row strips when the matrix is tall,
-// contiguous runs of column strips when it is wide. Each unit runs its own
-// ascending kc loop and packs its own B panels — overlapped with compute via
-// a per-unit packAhead pipeline when helpers are available — so units are
-// disjoint in their outputs and bitwise independent of the worker count.
+// contiguous runs of column strips when it is wide.
+//
+//easyscale:hotpath
 func gemmParallel(dst []float32, n int, pa *packedA, bsrc *bPanelSrc) {
-	workers := maxWorkers()
-	if pa.m >= n {
-		chunk, nchunks := chunksFor(pa.mtiles, workers)
-		parallelChunks(pa.mtiles, chunk, nchunks, func(_, lo, hi int) {
-			ov := takePackAhead()
-			gemmRange(dst, n, pa, bsrc, lo, hi, 0, n, ov)
-			putPackAhead(ov)
-		})
-		return
+	g := gemmTasks.Get().(*gemmTask)
+	g.dst, g.n, g.pa, g.bsrc = dst, n, *pa, *bsrc
+	units := pa.mtiles
+	g.byRows = pa.m >= n
+	if !g.byRows {
+		units = (n + pa.mk.nr - 1) / pa.mk.nr
 	}
-	nr := pa.mk.nr
-	ntiles := (n + nr - 1) / nr
-	chunk, nchunks := chunksFor(ntiles, workers)
-	parallelChunks(ntiles, chunk, nchunks, func(_, lo, hi int) {
-		ov := takePackAhead()
-		gemmRange(dst, n, pa, bsrc, 0, pa.mtiles, lo*nr, min(n, hi*nr), ov)
-		putPackAhead(ov)
-	})
+	chunk, nchunks := chunksFor(units, maxWorkers())
+	parallelChunks(units, chunk, nchunks, g)
+	*g = gemmTask{} // drop the references to the caller's buffers
+	gemmTasks.Put(g)
 }
 
 // normKC normalizes the accumulation block: kc <= 0 or kc > k means a single

@@ -133,3 +133,116 @@ store:
 	VMOVUPS Y7, (DI)
 	VZEROUPPER
 	RET
+
+// func transpose8x8(dst, src *float32, offs *[8]int, co int)
+//
+// dst[x*8+c] = src[offs[c]+co+x] for x, c in [0,8): eight 8-float source runs
+// become eight 8-float destination rows — the 8×8 block of a transposed
+// im2col panel (packBIm2ColT) in one pass of unpack/shuffle/lane-permute
+// moves. Pure data movement: no arithmetic touches the values, so the
+// panel bits are those of the scalar pack.
+TEXT ·transpose8x8(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ offs+16(FP), BX
+	MOVQ co+24(FP), CX
+	LEAQ (SI)(CX*4), SI    // src += co
+
+	MOVQ    0(BX), AX
+	VMOVUPS (SI)(AX*4), Y0  // r0 = a00..a07
+	MOVQ    8(BX), AX
+	VMOVUPS (SI)(AX*4), Y1
+	MOVQ    16(BX), AX
+	VMOVUPS (SI)(AX*4), Y2
+	MOVQ    24(BX), AX
+	VMOVUPS (SI)(AX*4), Y3
+	MOVQ    32(BX), AX
+	VMOVUPS (SI)(AX*4), Y4
+	MOVQ    40(BX), AX
+	VMOVUPS (SI)(AX*4), Y5
+	MOVQ    48(BX), AX
+	VMOVUPS (SI)(AX*4), Y6
+	MOVQ    56(BX), AX
+	VMOVUPS (SI)(AX*4), Y7
+
+	// interleave row pairs: t0 = a00 a10 a01 a11 | a04 a14 a05 a15, ...
+	VUNPCKLPS Y1, Y0, Y8
+	VUNPCKHPS Y1, Y0, Y9
+	VUNPCKLPS Y3, Y2, Y10
+	VUNPCKHPS Y3, Y2, Y11
+	VUNPCKLPS Y5, Y4, Y12
+	VUNPCKHPS Y5, Y4, Y13
+	VUNPCKLPS Y7, Y6, Y14
+	VUNPCKHPS Y7, Y6, Y15
+
+	// gather quads: s0 = a00 a10 a20 a30 | a04 a14 a24 a34, ...
+	VSHUFPS $0x44, Y10, Y8, Y0
+	VSHUFPS $0xEE, Y10, Y8, Y1
+	VSHUFPS $0x44, Y11, Y9, Y2
+	VSHUFPS $0xEE, Y11, Y9, Y3
+	VSHUFPS $0x44, Y14, Y12, Y4
+	VSHUFPS $0xEE, Y14, Y12, Y5
+	VSHUFPS $0x44, Y15, Y13, Y6
+	VSHUFPS $0xEE, Y15, Y13, Y7
+
+	// join 128-bit halves: out x = a0x a1x ... a7x
+	VPERM2F128 $0x20, Y4, Y0, Y8
+	VPERM2F128 $0x20, Y5, Y1, Y9
+	VPERM2F128 $0x20, Y6, Y2, Y10
+	VPERM2F128 $0x20, Y7, Y3, Y11
+	VPERM2F128 $0x31, Y4, Y0, Y12
+	VPERM2F128 $0x31, Y5, Y1, Y13
+	VPERM2F128 $0x31, Y6, Y2, Y14
+	VPERM2F128 $0x31, Y7, Y3, Y15
+
+	VMOVUPS Y8, 0(DI)
+	VMOVUPS Y9, 32(DI)
+	VMOVUPS Y10, 64(DI)
+	VMOVUPS Y11, 96(DI)
+	VMOVUPS Y12, 128(DI)
+	VMOVUPS Y13, 160(DI)
+	VMOVUPS Y14, 192(DI)
+	VMOVUPS Y15, 224(DI)
+	VZEROUPPER
+	RET
+
+// func im2colRows8(dst, src *float32, kb, kh, kw, nkh, nkw, dRow, dPlane int)
+//
+// One 8-wide strip of a forward im2col panel (packBIm2Col) whose eight
+// columns are one contiguous image run: for kb im2col rows it copies the
+// eight floats at src to dst, then steps src to the next row's run —
+// one float along the window row, dRow more bytes when kw wraps at nkw,
+// dPlane more when kh wraps at nkh (the convGeom.nextRow walk). Pure data
+// movement.
+TEXT ·im2colRows8(SB), NOSPLIT, $0-72
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ kb+16(FP), CX
+	MOVQ kh+24(FP), R8
+	MOVQ kw+32(FP), R9
+	MOVQ nkh+40(FP), R10
+	MOVQ nkw+48(FP), R11
+	MOVQ dRow+56(FP), R12
+	MOVQ dPlane+64(FP), R13
+
+im2col_row:
+	VMOVUPS (SI), Y0
+	VMOVUPS Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $4, SI
+	INCQ    R9
+	CMPQ    R9, R11
+	JNE     im2col_next
+	XORQ    R9, R9
+	ADDQ    R12, SI
+	INCQ    R8
+	CMPQ    R8, R10
+	JNE     im2col_next
+	XORQ    R8, R8
+	ADDQ    R13, SI
+
+im2col_next:
+	DECQ CX
+	JNZ  im2col_row
+	VZEROUPPER
+	RET

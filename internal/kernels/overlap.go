@@ -20,10 +20,10 @@ import (
 //     The state machine only decides who; the bits are fixed either way.
 //
 //  2. No new deadlock: gemmRange already runs inside parallelChunks tasks,
-//     whose pool invariant is "tasks never block inside fn". submit uses a
-//     non-blocking send (a full helper channel just means nobody picks the
-//     job up), and await STEALS a still-queued job and packs it inline
-//     rather than waiting. The only spin is against a helper actively
+//     whose pool invariant is "tasks never block inside runChunk". submit
+//     uses a non-blocking send (a full helper channel just means nobody
+//     picks the job up), and await STEALS a still-queued job and packs it
+//     inline rather than waiting. The only spin is against a helper actively
 //     packing, which is bounded by one panel's pack time.
 //
 //  3. Zero steady-state allocation: pipelines are pooled, and each carries

@@ -6,17 +6,14 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/pool"
 )
 
 // Host-side parallel execution of the deterministic kernels. Parallelism
 // here never touches numerics: work is split along dimensions whose outputs
-// are disjoint (GEMM cache blocks, conv batch images), each unit computed
-// with exactly the sequential kernel's accumulation order, and any
-// cross-unit accumulation is combined in the fixed sequential order
-// afterwards. The results are bitwise identical to the sequential kernels —
-// asserted by tests — so the simulation runs on all cores without perturbing
-// the determinism story.
+// are disjoint (GEMM cache blocks), each unit computed with exactly the
+// sequential kernel's accumulation order. The results are bitwise identical
+// to the sequential kernels — asserted by tests — so the simulation runs on
+// all cores without perturbing the determinism story.
 //
 // The parallel GEMMs dispatch whole cache blocks of the tiled implementation
 // (gemm.go): operand A is packed once by the caller, then contiguous runs of
@@ -25,7 +22,10 @@ import (
 //
 // Dispatch runs on a persistent worker pool: helper goroutines are started
 // once and fed closures through a channel, so a kernel call costs a few
-// channel sends instead of goroutine spawns. The submitting goroutine always
+// channel sends instead of goroutine spawns. The per-call state — the chunk
+// counter, the wait group, the kernel's operands — lives in pooled structs
+// whose helper closures are built once, so a dispatch allocates nothing at
+// GOMAXPROCS > 1 either. The submitting goroutine always
 // participates in the work itself, which both uses its cycles and guarantees
 // progress even if every helper is busy elsewhere. Which goroutine executes
 // which chunk is scheduler-dependent, but chunk boundaries are deterministic
@@ -64,10 +64,12 @@ func SetParallelism(workers int) {
 // with.
 func Parallelism() int { return maxWorkers() }
 
-// SetParallelThreshold overrides the FLOP count below which kernels run
-// sequentially (also settable via EASYSCALE_PARALLEL_THRESHOLD, resolved by
-// core.ConfigFromEnv at process start). flops <= 0 restores the default.
-// Like the worker count, the threshold is invisible to numerics.
+// SetParallelThreshold overrides the FLOP count below which the parallel
+// GEMMs (MatMulParallel and its transposed forms) run sequentially (also
+// settable via EASYSCALE_PARALLEL_THRESHOLD, resolved by core.ConfigFromEnv
+// at process start); convolutions always run on one core. flops <= 0
+// restores the default. Like the worker count, the threshold is invisible
+// to numerics.
 func SetParallelThreshold(flops int) {
 	if flops < 0 {
 		flops = 0
@@ -137,70 +139,93 @@ func chunksFor(n, workers int) (chunk, nchunks int) {
 	return chunk, nchunks
 }
 
-// parallelChunks invokes fn(ci, lo, hi) for every chunk concurrently: helper
+// chunkTask is one parallel kernel call: runChunk computes the disjoint
+// output of units [lo, hi).
+type chunkTask interface {
+	runChunk(lo, hi int)
+}
+
+// dispatch is the shared state of one parallelChunks call, pooled with its
+// helper closure built once, so a dispatch costs one channel send per
+// helper and no allocation.
+type dispatch struct {
+	task              chunkTask
+	n, chunk, nchunks int
+	next              atomic.Int64 // next chunk index to claim
+	wg                sync.WaitGroup
+	help              func() // d.helper, bound once
+}
+
+var dispatches sync.Pool
+
+func getDispatch() *dispatch {
+	if d, ok := dispatches.Get().(*dispatch); ok {
+		return d
+	}
+	d := &dispatch{}
+	d.help = d.helper
+	return d
+}
+
+// run claims and computes chunks until the counter is exhausted.
+func (d *dispatch) run() {
+	for {
+		ci := int(d.next.Add(1) - 1)
+		if ci >= d.nchunks {
+			return
+		}
+		lo := ci * d.chunk
+		d.task.runChunk(lo, min(lo+d.chunk, d.n))
+	}
+}
+
+func (d *dispatch) helper() {
+	defer d.wg.Done()
+	d.run()
+}
+
+// parallelChunks runs t.runChunk for every chunk concurrently: helper
 // goroutines and the caller pull chunk indices from a shared counter until
-// exhausted. Tasks never block inside fn, so the pool cannot deadlock even
-// when every helper is occupied — the caller alone drains the counter.
+// exhausted. Tasks never block inside runChunk, so the pool cannot deadlock
+// even when every helper is occupied — the caller alone drains the counter.
+// The caller then waits for every helper it sent to return, so no helper
+// still holds the dispatch when it is recycled.
 //
 // This is the kernel dispatch seam: when a process-default tracer is
 // installed (obs.SetDefault), each multi-chunk dispatch records one span on
 // the runtime track — an atomic ring write in the caller goroutine, so the
 // zero-alloc hot path survives with tracing enabled, and a nil-check when
 // tracing is off.
-func parallelChunks(n, chunk, nchunks int, fn func(ci, lo, hi int)) {
+//
+//easyscale:hotpath
+func parallelChunks(n, chunk, nchunks int, t chunkTask) {
 	if nchunks <= 1 {
-		fn(0, 0, n)
+		t.runChunk(0, n)
 		return
 	}
 	tr := obs.Default()
 	start := tr.Now()
 	startHelpers()
-	var next atomic.Int64
-	run := func() {
-		for {
-			ci := int(next.Add(1) - 1)
-			if ci >= nchunks {
-				return
-			}
-			lo := ci * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			fn(ci, lo, hi)
-		}
-	}
-	helpers := nchunks - 1
-	if helpers > helperN {
-		helpers = helperN
-	}
-	var wg sync.WaitGroup
-	wg.Add(helpers)
+	d := getDispatch()
+	d.task, d.n, d.chunk, d.nchunks = t, n, chunk, nchunks
+	d.next.Store(0)
+	helpers := min(nchunks-1, helperN)
+	d.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
-		helperCh <- func() {
-			defer wg.Done()
-			run()
-		}
+		helperCh <- d.help
 	}
-	run()
-	wg.Wait()
+	d.run()
+	d.wg.Wait()
+	d.task = nil
+	dispatches.Put(d)
 	tr.Span(obs.RuntimeTrack, obs.CatKernel, "kernels.dispatch", start, int64(n), int64(nchunks))
-}
-
-// parallelRanges invokes fn over [0,n) in contiguous chunks, concurrently.
-func parallelRanges(n int, fn func(lo, hi int)) {
-	workers := maxWorkers()
-	if workers == 1 || n < 2 {
-		fn(0, n)
-		return
-	}
-	chunk, nchunks := chunksFor(n, workers)
-	parallelChunks(n, chunk, nchunks, func(_, lo, hi int) { fn(lo, hi) })
 }
 
 // MatMulParallel computes C = A·B exactly as MatMul (same kc blocking, same
 // per-element accumulation order) with whole cache blocks dispatched to the
 // worker pool.
+//
+//easyscale:hotpath
 func MatMulParallel(dst, a, b []float32, m, k, n, kc int) {
 	checkGemm(dst, a, b, m, k, n, m*k, k*n, "MatMulParallel")
 	if 2*m*k*n < ParallelThreshold() {
@@ -215,6 +240,8 @@ func MatMulParallel(dst, a, b []float32, m, k, n, kc int) {
 
 // MatMulATBParallel computes C = Aᵀ·B exactly as MatMulATB with whole cache
 // blocks dispatched to the worker pool.
+//
+//easyscale:hotpath
 func MatMulATBParallel(dst, a, b []float32, m, k, n, kc int) {
 	checkGemm(dst, a, b, m, k, n, k*m, k*n, "MatMulATBParallel")
 	if 2*m*k*n < ParallelThreshold() {
@@ -229,6 +256,8 @@ func MatMulATBParallel(dst, a, b []float32, m, k, n, kc int) {
 
 // MatMulABTParallel computes C = A·Bᵀ exactly as MatMulABT with whole cache
 // blocks dispatched to the worker pool.
+//
+//easyscale:hotpath
 func MatMulABTParallel(dst, a, b []float32, m, k, n, kc int) {
 	checkGemm(dst, a, b, m, k, n, m*k, n*k, "MatMulABTParallel")
 	if 2*m*k*n < ParallelThreshold() {
@@ -241,155 +270,20 @@ func MatMulABTParallel(dst, a, b []float32, m, k, n, kc int) {
 	pa.release()
 }
 
-// Conv2DParallel computes the forward convolution exactly as Conv2D with the
-// batch images processed concurrently (outputs are disjoint per image). The
-// weight panel is packed once and shared read-only by every worker.
+// Conv2DParallel is Conv2D. A conv runs on one core: its natural split is
+// by batch image, and at the model zoo's conv sizes a helper's wake-up
+// outlasts the images it would take (on a 2-vCPU Xeon, splitting
+// resnet50's batch-4 convs across 2 cores made the training step 11%
+// slower than one core).
+//
+// Deprecated: call Conv2D.
 func Conv2DParallel(dst, src, weight, bias []float32, d ConvDims, kc int) {
-	d.validate()
-	oh, ow := d.OutH(), d.OutW()
-	kdim, spatial := d.ColRows(), d.ColCols()
-	if len(dst) != d.Batch*d.COut*oh*ow ||
-		len(src) != d.Batch*d.CIn*d.H*d.W ||
-		len(weight) != d.COut*kdim {
-		panic("kernels: Conv2DParallel buffer size mismatch")
-	}
-	if d.Batch < 2 || 2*d.Batch*d.COut*spatial*kdim < ParallelThreshold() {
-		Conv2D(dst, src, weight, bias, d, kc)
-		return
-	}
-	imgIn := d.CIn * d.H * d.W
-	imgOut := d.COut * oh * ow
-	pa := packA(weight, d.COut, kdim, normKC(kc, kdim), kdim, 1)
-	parallelRanges(d.Batch, func(lo, hi int) {
-		ov := takePackAhead()
-		for b := lo; b < hi; b++ {
-			out := dst[b*imgOut : (b+1)*imgOut]
-			bsrc := bPanelSrc{kind: bIm2Col, data: src[b*imgIn : (b+1)*imgIn], dims: d}
-			gemmRange(out, spatial, &pa, &bsrc, 0, pa.mtiles, 0, spatial, ov)
-			if bias != nil {
-				addBias(out, bias, d.COut, spatial)
-			}
-		}
-		putPackAhead(ov)
-	})
-	pa.release()
+	Conv2D(dst, src, weight, bias, d, kc)
 }
 
-// Conv2DBackwardParallel computes the convolution gradients exactly as
-// Conv2DBackward: per-image contributions run concurrently with per-worker
-// pooled scratch, then the weight/bias partials are combined strictly in
-// batch order — the sequential accumulation order, so the result is bitwise
-// identical to Conv2DBackward for any worker count. The transposed weight
-// panel of the dX GEMM is packed once and shared read-only.
+// Conv2DBackwardParallel is Conv2DBackward; see Conv2DParallel.
+//
+// Deprecated: call Conv2DBackward.
 func Conv2DBackwardParallel(gradSrc, gradWeight, gradBias, src, weight, gradOut []float32, d ConvDims, kc int) {
-	d.validate()
-	if d.Batch < 2 || maxWorkers() == 1 {
-		Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut, d, kc)
-		return
-	}
-	oh, ow := d.OutH(), d.OutW()
-	kdim, spatial := d.ColRows(), d.ColCols()
-	imgIn := d.CIn * d.H * d.W
-	imgOut := d.COut * oh * ow
-	if len(gradOut) != d.Batch*imgOut || len(src) != d.Batch*imgIn || len(weight) != d.COut*kdim {
-		panic("kernels: Conv2DBackwardParallel buffer size mismatch")
-	}
-	wsize := d.COut * kdim
-	if gradWeight != nil && len(gradWeight) != wsize {
-		panic("kernels: Conv2DBackwardParallel gradWeight size mismatch")
-	}
-	if gradBias != nil && len(gradBias) != d.COut {
-		panic("kernels: Conv2DBackwardParallel gradBias size mismatch")
-	}
-	if gradSrc != nil && len(gradSrc) != d.Batch*imgIn {
-		panic("kernels: Conv2DBackwardParallel gradSrc size mismatch")
-	}
-
-	var paT packedA
-	if gradSrc != nil {
-		paT = packA(weight, kdim, d.COut, normKC(kc, d.COut), 1, kdim)
-	}
-	kcW := normKC(kc, spatial)
-
-	// Per-chunk buffers hold the per-image partials of that chunk's batch
-	// range; they stay alive until the ordered combine below.
-	chunk, nchunks := chunksFor(d.Batch, maxWorkers())
-	var chunkW, chunkB [][]float32
-	if gradWeight != nil {
-		chunkW = make([][]float32, nchunks)
-	}
-	if gradBias != nil {
-		chunkB = make([][]float32, nchunks)
-	}
-
-	parallelChunks(d.Batch, chunk, nchunks, func(ci, lo, hi int) {
-		ov := takePackAhead()
-		var dcols []float32
-		if gradSrc != nil {
-			dcols = pool.GetUninit(kdim * spatial)
-		}
-		var wp, bp []float32
-		if gradWeight != nil {
-			wp = pool.GetUninit((hi - lo) * wsize)
-			chunkW[ci] = wp
-		}
-		if gradBias != nil {
-			bp = pool.GetUninit((hi - lo) * d.COut)
-			chunkB[ci] = bp
-		}
-		for b := lo; b < hi; b++ {
-			dout := gradOut[b*imgOut : (b+1)*imgOut]
-			if gradWeight != nil {
-				paD := packA(dout, d.COut, spatial, kcW, spatial, 1)
-				bsrc := bPanelSrc{kind: bIm2ColT, data: src[b*imgIn : (b+1)*imgIn], dims: d}
-				gemmRange(wp[(b-lo)*wsize:(b-lo+1)*wsize], kdim, &paD, &bsrc, 0, paD.mtiles, 0, kdim, ov)
-				paD.release()
-			}
-			if gradBias != nil {
-				for co := 0; co < d.COut; co++ {
-					row := dout[co*spatial : (co+1)*spatial]
-					bp[(b-lo)*d.COut+co] = SumBlocked(row, kc)
-				}
-			}
-			if gradSrc != nil {
-				bsrc := bPanelSrc{kind: bRowMajor, data: dout, ld: spatial}
-				gemmRange(dcols, spatial, &paT, &bsrc, 0, paT.mtiles, 0, spatial, ov)
-				Col2Im(gradSrc[b*imgIn:(b+1)*imgIn], dcols, d)
-			}
-		}
-		if dcols != nil {
-			pool.Put(dcols)
-		}
-		putPackAhead(ov)
-	})
-	if gradSrc != nil {
-		paT.release()
-	}
-
-	// Combine partials strictly in batch order — the sequential accumulation
-	// order, independent of how many chunks computed them.
-	if gradWeight != nil {
-		zeroFill(gradWeight)
-		for b := 0; b < d.Batch; b++ {
-			wp := chunkW[b/chunk][(b%chunk)*wsize : (b%chunk+1)*wsize]
-			for i, v := range wp {
-				gradWeight[i] += v
-			}
-		}
-		for _, wp := range chunkW {
-			pool.Put(wp)
-		}
-	}
-	if gradBias != nil {
-		zeroFill(gradBias)
-		for b := 0; b < d.Batch; b++ {
-			bp := chunkB[b/chunk][(b%chunk)*d.COut : (b%chunk+1)*d.COut]
-			for i, v := range bp {
-				gradBias[i] += v
-			}
-		}
-		for _, bp := range chunkB {
-			pool.Put(bp)
-		}
-	}
+	Conv2DBackward(gradSrc, gradWeight, gradBias, src, weight, gradOut, d, kc)
 }
